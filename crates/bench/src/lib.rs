@@ -21,9 +21,15 @@ use mpcc_transport::{MpReceiver, MpSender, MultipathCc, SenderConfig};
 pub struct BulkRun {
     /// Connection-level bytes acknowledged by the end of the run.
     pub delivered_bytes: u64,
-    /// Events the simulation loop dispatched — the simulator's unit of
-    /// work, so wall time divided by this is the cost per event.
+    /// Events the simulation executed, queue pops plus inline link
+    /// completions ([`Simulation::total_events`]) — the simulator's unit
+    /// of work, so wall time divided by this is the cost per event.
+    ///
+    /// [`Simulation::total_events`]: mpcc_netsim::Simulation::total_events
     pub events: u64,
+    /// Events popped off the event queue; the self-profiler attributes
+    /// each to exactly one category.
+    pub popped: u64,
     /// High-water mark of the future-event list.
     pub peak_queue_len: usize,
     /// Self-profiler snapshot (wall-clock attribution is all zeros unless
@@ -50,7 +56,8 @@ pub fn run_bulk_sim(
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(sim_secs));
     BulkRun {
         delivered_bytes: sim.endpoint::<MpSender>(sender).data_acked(),
-        events: sim.events_processed(),
+        events: sim.total_events(),
+        popped: sim.events_processed(),
         peak_queue_len: sim.peak_queue_len(),
         profile: sim.profile(),
     }
@@ -74,7 +81,7 @@ mod tests {
         if !mpcc_simcore::Profiler::ENABLED {
             assert_eq!(run.profile.total_count(), 0, "off build must not count");
         } else {
-            assert_eq!(run.profile.total_count(), run.events, "{run:?}");
+            assert_eq!(run.profile.total_count(), run.popped, "{run:?}");
         }
     }
 }

@@ -39,12 +39,9 @@ pub struct ExpConfig {
     /// (single-threaded and untraced by default; `--jobs`/`--trace`
     /// configure it in the binary).
     pub exec: Executor,
-    /// Intra-run shard count (`--shards N`) for scenarios that support
-    /// the partitioned engine (`churn`, `fig19`). For scenarios with a
-    /// legacy single-instance path (`fig19`), 1 keeps that exact path so
-    /// committed goldens stay byte-identical; `churn` always runs on the
-    /// sharded engine, where every shard count produces identical
-    /// results.
+    /// Intra-run shard count (`--shards N`) for scenarios that run on
+    /// the partitioned engine (`churn`, `fig19`). Every shard count
+    /// produces identical results.
     pub shards: u8,
     /// `fig19 --full-scale`: the full-size 25 Gbps fabric and the paper's
     /// flow classes instead of the ~20x-scaled-down defaults.

@@ -23,7 +23,7 @@ use mpcc_telemetry::{
 use mpcc_transport::{MpReceiver, MpSender, ReceiverStats, SenderConfig, Workload};
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::{fmt, fs};
@@ -46,50 +46,48 @@ pub struct TraceConfig {
 impl TraceConfig {
     /// Whether the destination's extension selects CSV rows.
     pub fn is_csv(&self) -> bool {
-        self.path.extension().is_some_and(|e| e == "csv")
+        is_csv(&self.path)
     }
 
     /// The per-run sink file for `run_id`.
     pub fn run_path(&self, run_id: u64) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("trace");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.run{run_id:05}.{ext}"))
+        part_path(&self.path, "trace", &format!("run{run_id:05}"))
     }
 
     /// The per-shard keyed part file of a directly-built sharded run
     /// (see [`ShardTelemetry`]).
     pub fn shard_path(&self, tag: &str, shard: usize) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("trace");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
+        part_path(&self.path, "trace", &format!("{tag}.shard{shard:02}"))
     }
 
     fn make_sink(&self, run_id: u64) -> io::Result<Arc<dyn TraceSink>> {
-        let path = self.run_path(run_id);
-        Ok(if self.is_csv() {
-            Arc::new(CsvSink::create(&path)?)
-        } else {
-            Arc::new(JsonlSink::create(&path)?)
-        })
+        file_sink(&self.run_path(run_id))
     }
+}
+
+/// Whether `path`'s extension selects CSV rows (anything else is JSONL).
+fn is_csv(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "csv")
+}
+
+/// A streaming trace sink writing to `path`, CSV or JSONL by extension.
+pub(crate) fn file_sink(path: &Path) -> io::Result<Arc<dyn TraceSink>> {
+    Ok(if is_csv(path) {
+        Arc::new(CsvSink::create(path)?)
+    } else {
+        Arc::new(JsonlSink::create(path)?)
+    })
+}
+
+/// The part file `<stem>.<part>.<ext>` beside `path`; the stem defaults to
+/// `default_stem` and the extension to `jsonl`.
+fn part_path(path: &Path, default_stem: &str, part: &str) -> PathBuf {
+    let stem = path
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or(default_stem);
+    let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
+    path.with_file_name(format!("{stem}.{part}.{ext}"))
 }
 
 /// Where runs flush their time-binned metrics rows (see
@@ -130,40 +128,18 @@ impl MetricsConfig {
 
     /// Whether the destination's extension selects CSV rows.
     pub fn is_csv(&self) -> bool {
-        self.path.extension().is_some_and(|e| e == "csv")
+        is_csv(&self.path)
     }
 
     /// The per-run part file for `run_id`.
     pub fn run_path(&self, run_id: u64) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("metrics");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.run{run_id:05}.{ext}"))
+        part_path(&self.path, "metrics", &format!("run{run_id:05}"))
     }
 
     /// The per-shard keyed part file of a directly-built sharded run
     /// (see [`ShardTelemetry`]).
     pub fn shard_path(&self, tag: &str, shard: usize) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("metrics");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
+        part_path(&self.path, "metrics", &format!("{tag}.shard{shard:02}"))
     }
 
     fn make_pipeline(&self, run_id: u64) -> io::Result<Arc<MetricsPipeline>> {
@@ -375,33 +351,19 @@ impl Executor {
         results
     }
 
-    /// Builds the tracer a run with `run_id` should emit into, combining
-    /// the trace and metrics configurations:
-    ///
-    /// * neither configured → `None` (the scenario keeps its own tracer);
-    /// * trace only → the raw sink behind the trace mask (as before);
-    /// * metrics only → the run's [`MetricsPipeline`] seeing every layer;
-    /// * both → a [`TeeSink`] whose trace branch keeps the `--trace-filter`
-    ///   mask while the metrics branch sees every layer, so attaching
-    ///   metrics never changes the trace bytes.
+    /// Builds the tracer a run with `run_id` should emit into (see
+    /// [`sink_stack`]); `None` when neither trace nor metrics is
+    /// configured, so the scenario keeps its own tracer.
     fn make_run_tracer(&self, run_id: u64) -> io::Result<Option<Tracer>> {
-        let trace = &self.inner.trace;
-        let metrics = &self.inner.metrics;
-        Ok(match (trace, metrics) {
-            (None, None) => None,
-            (Some(tc), None) => Some(Tracer::new(tc.make_sink(run_id)?, tc.mask)),
-            (None, Some(mc)) => Some(Tracer::new(mc.make_pipeline(run_id)?, LayerMask::ALL)),
-            (Some(tc), Some(mc)) => {
-                let tee = TeeSink::new(vec![
-                    (tc.make_sink(run_id)?, tc.mask),
-                    (
-                        mc.make_pipeline(run_id)? as Arc<dyn TraceSink>,
-                        LayerMask::ALL,
-                    ),
-                ]);
-                Some(Tracer::new(Arc::new(tee), LayerMask::ALL))
-            }
-        })
+        let trace = match &self.inner.trace {
+            Some(tc) => Some((tc.make_sink(run_id)?, tc.mask)),
+            None => None,
+        };
+        let metrics = match &self.inner.metrics {
+            Some(mc) => Some(mc.make_pipeline(run_id)? as Arc<dyn TraceSink>),
+            None => None,
+        };
+        Ok(sink_stack(trace, metrics))
     }
 
     /// Runs one scenario through the pool machinery (so it is traced and
@@ -444,16 +406,38 @@ impl Executor {
     }
 }
 
-/// Per-shard telemetry for directly-built scenarios (`churn`, the sharded
-/// `fig19` paths): one keyed part stream per shard, merged afterwards into
-/// the executor's `--trace`/`--metrics` files in canonical dispatch order,
-/// so the merged bytes are identical at every `--shards` count and across
+/// Assembles the sink stack one run emits into from its optional trace
+/// branch (a sink behind its `--trace-filter` mask) and metrics branch:
+///
+/// * neither → `None`;
+/// * trace only → the raw sink behind the trace mask;
+/// * metrics only → the pipeline seeing every layer;
+/// * both → a [`TeeSink`] whose trace branch keeps the trace mask while
+///   the metrics branch sees every layer, so attaching metrics never
+///   changes the trace bytes.
+pub(crate) fn sink_stack(
+    trace: Option<(Arc<dyn TraceSink>, LayerMask)>,
+    metrics: Option<Arc<dyn TraceSink>>,
+) -> Option<Tracer> {
+    Some(match (trace, metrics) {
+        (None, None) => return None,
+        (Some((sink, mask)), None) => Tracer::new(sink, mask),
+        (None, Some(pipe)) => Tracer::new(pipe, LayerMask::ALL),
+        (Some(t), Some(pipe)) => {
+            let tee = TeeSink::new(vec![t, (pipe, LayerMask::ALL)]);
+            Tracer::new(Arc::new(tee), LayerMask::ALL)
+        }
+    })
+}
+
+/// Per-shard telemetry for directly-built scenarios (`churn`, `fig19`):
+/// one keyed part stream per shard, merged afterwards into the
+/// executor's `--trace`/`--metrics` files in canonical dispatch order, so
+/// the merged bytes are identical at every `--shards` count and across
 /// the sequential/threaded backends (DESIGN.md §13).
 ///
 /// Lifecycle: [`Executor::shard_telemetry`] → [`ShardTelemetry::install`]
-/// (or [`install_single`](ShardTelemetry::install_single) for a plain
-/// one-instance simulation) → run → flush the simulation's tracers →
-/// [`ShardTelemetry::merge`].
+/// → run → flush the shards' tracers → [`ShardTelemetry::merge`].
 pub struct ShardTelemetry {
     trace: Option<TraceConfig>,
     metrics: Option<MetricsConfig>,
@@ -464,24 +448,30 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    /// Builds one shard's tracer: the same four-way trace/metrics/tee
-    /// combination as the executor's per-run tracer, but writing keyed
-    /// part streams ordered by the shared dispatch stamp.
-    fn make_shard_tracer(
-        &mut self,
-        shard: usize,
-        stamp: &Arc<DispatchStamp>,
-    ) -> io::Result<Tracer> {
-        let trace_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.trace {
+    /// Attaches one keyed part sink (and dispatch-stamp cell) per shard.
+    /// Call before the first `run_until`.
+    pub fn install(&mut self, sim: &mut ShardedSimulation) -> io::Result<()> {
+        for i in 0..sim.shards() {
+            self.attach(i, sim.shard_mut(i))?;
+        }
+        Ok(())
+    }
+
+    /// Attaches shard `shard`'s keyed part sink to its simulation: a
+    /// [`sink_stack`] over keyed part streams, ordered by the dispatch
+    /// stamp the simulation's event loop publishes into.
+    fn attach(&mut self, shard: usize, sim: &mut Simulation) -> io::Result<()> {
+        let stamp = Arc::new(DispatchStamp::new());
+        let trace = match &self.trace {
             Some(tc) => {
                 let path = tc.shard_path(&self.tag, shard);
-                let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(stamp))?;
+                let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(&stamp))?;
                 self.trace_parts.push(path);
-                Some((Arc::new(sink), tc.mask))
+                Some((Arc::new(sink) as Arc<dyn TraceSink>, tc.mask))
             }
             None => None,
         };
-        let metrics_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.metrics {
+        let metrics = match &self.metrics {
             Some(mc) => {
                 let path = mc.shard_path(&self.tag, shard);
                 let cfg = PipelineConfig::default()
@@ -493,39 +483,13 @@ impl ShardTelemetry {
                 // headerless, the merged file owns the CSV header.
                 let w: Box<dyn io::Write + Send> =
                     Box::new(io::BufWriter::new(fs::File::create(&path)?));
-                let pipeline = MetricsPipeline::new(cfg, mc.is_csv(), w);
                 self.metrics_parts.push(path);
-                Some((Arc::new(pipeline), LayerMask::ALL))
+                Some(Arc::new(MetricsPipeline::new(cfg, mc.is_csv(), w)) as Arc<dyn TraceSink>)
             }
             None => None,
         };
-        Ok(match (trace_branch, metrics_branch) {
-            (Some((sink, mask)), None) => Tracer::new(sink, mask),
-            (None, Some((sink, mask))) => Tracer::new(sink, mask),
-            (Some(t), Some(m)) => Tracer::new(Arc::new(TeeSink::new(vec![t, m])), LayerMask::ALL),
-            (None, None) => unreachable!("ShardTelemetry exists only with a sink configured"),
-        })
-    }
-
-    /// Attaches one keyed part sink (and dispatch-stamp cell) per shard.
-    /// Call before the first `run_until`.
-    pub fn install(&mut self, sim: &mut ShardedSimulation) -> io::Result<()> {
-        for i in 0..sim.shards() {
-            let stamp = Arc::new(DispatchStamp::new());
-            let tracer = self.make_shard_tracer(i, &stamp)?;
-            sim.install_tracer(i, tracer, stamp);
-        }
-        Ok(())
-    }
-
-    /// Attaches a single part sink to a plain one-instance simulation (the
-    /// legacy `fig19 --shards 1` path). The legacy event loop leaves the
-    /// dispatch stamp untouched, so every record shares one key and the
-    /// within-dispatch sequence number alone preserves emission order —
-    /// a one-part merge then reproduces the plain sink bytes.
-    pub fn install_single(&mut self, sim: &mut Simulation) -> io::Result<()> {
-        let stamp = Arc::new(DispatchStamp::new());
-        let tracer = self.make_shard_tracer(0, &stamp)?;
+        let tracer =
+            sink_stack(trace, metrics).expect("ShardTelemetry exists only with a sink configured");
         sim.set_trace_stamp(stamp);
         sim.set_tracer(tracer);
         Ok(())

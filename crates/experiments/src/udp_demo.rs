@@ -15,11 +15,10 @@
 //! any runtime invariant tripped (`--features invariants`).
 
 use crate::protocols;
+use crate::runner::{file_sink, sink_stack};
 use mpcc_netsim::endpoint_rng;
 use mpcc_simcore::{SimDuration, SimTime};
-use mpcc_telemetry::{
-    CsvSink, JsonlSink, LayerMask, MetricsPipeline, PipelineConfig, TeeSink, TraceSink, Tracer,
-};
+use mpcc_telemetry::{LayerMask, MetricsPipeline, PipelineConfig, TraceSink, Tracer};
 use mpcc_transport::wire::{EndpointId, PathId, MSS_PAYLOAD};
 use mpcc_transport::{MpReceiver, MpSender, SenderConfig};
 use mpcc_udp::{UdpPath, UdpPeer};
@@ -145,23 +144,16 @@ pub fn run(opts: &DemoOpts) -> i32 {
     }
 }
 
-/// Builds the sender's tracer from `--trace`/`--metrics`, mirroring the
-/// runner's tee discipline: the trace branch keeps its filter mask, the
+/// Builds the sender's tracer from `--trace`/`--metrics` through the
+/// runner's [`sink_stack`]: the trace branch keeps its filter mask, the
 /// metrics pipeline always sees every layer. Single run, so records go
 /// straight to the final files — no part-file merge step.
 fn make_tracer(opts: &DemoOpts) -> io::Result<Tracer> {
-    let trace_sink: Option<(Arc<dyn TraceSink>, LayerMask)> = match &opts.trace {
+    let trace = match &opts.trace {
         None => None,
-        Some((path, mask)) => {
-            let sink: Arc<dyn TraceSink> = if path.extension().is_some_and(|e| e == "csv") {
-                Arc::new(CsvSink::create(path)?)
-            } else {
-                Arc::new(JsonlSink::create(path)?)
-            };
-            Some((sink, *mask))
-        }
+        Some((path, mask)) => Some((file_sink(path)?, *mask)),
     };
-    let metrics_sink: Option<Arc<dyn TraceSink>> = match &opts.metrics {
+    let metrics = match &opts.metrics {
         None => None,
         Some((path, bin)) => {
             let mut cfg = PipelineConfig::default().with_run(0);
@@ -171,15 +163,7 @@ fn make_tracer(opts: &DemoOpts) -> io::Result<Tracer> {
             Some(Arc::new(MetricsPipeline::create(cfg, path)?) as Arc<dyn TraceSink>)
         }
     };
-    Ok(match (trace_sink, metrics_sink) {
-        (None, None) => Tracer::off(),
-        (Some((sink, mask)), None) => Tracer::new(sink, mask),
-        (None, Some(pipe)) => Tracer::new(pipe, LayerMask::ALL),
-        (Some((sink, mask)), Some(pipe)) => {
-            let tee = TeeSink::new(vec![(sink, mask), (pipe, LayerMask::ALL)]);
-            Tracer::new(Arc::new(tee), LayerMask::ALL)
-        }
-    })
+    Ok(sink_stack(trace, metrics).unwrap_or_else(Tracer::off))
 }
 
 /// Spawns the receiver process and reads its port line.

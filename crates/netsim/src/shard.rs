@@ -11,21 +11,21 @@
 //! the published global minimum next-event time, so idle stretches are
 //! skipped in one epoch.
 //!
-//! Determinism: every shard runs in canonical mode (content-ordered
-//! same-time dispatch, per-endpoint packet ids), the epoch boundary
-//! sequence is a function of global event-time minima (identical at any
-//! shard count), and cross-shard batches are routed in fixed shard order.
-//! Simulation outcomes are therefore invariant across shard counts *and*
-//! across the sequential / threaded backends, which differ only in who
-//! executes each window.
+//! Determinism: every [`Simulation`] dispatches same-time events in
+//! content order and draws packet ids from per-endpoint namespaces, the
+//! epoch boundary sequence is a function of global event-time minima
+//! (identical at any shard count), and cross-shard batches are routed in
+//! fixed shard order. Simulation outcomes are therefore invariant across
+//! shard counts *and* across the sequential / threaded backends, which
+//! differ only in who executes each window. A plain `Simulation` behaves
+//! exactly like the single shard of a one-shard partition.
 
 use crate::network::Simulation;
 use crate::packet::Packet;
-use mpcc_simcore::{DispatchStamp, ProfCat, Profiler, SimDuration, SimTime, SpinBarrier};
-use mpcc_telemetry::Tracer;
+use mpcc_simcore::{ProfCat, Profiler, SimDuration, SimTime, SpinBarrier};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Per-shard driver logic that runs between epochs — the seam churn
 /// scenarios use to create and retire connections mid-run.
@@ -170,19 +170,6 @@ impl ShardedSimulation {
     /// Installs the boundary hook of shard `i`.
     pub fn set_hook(&mut self, i: usize, hook: Box<dyn ShardHook>) {
         self.hooks[i] = hook;
-    }
-
-    /// Installs shard `i`'s telemetry: the tracer every layer on that
-    /// shard emits through, plus the dispatch-stamp cell the shard's
-    /// event loop publishes its canonical position into. A keyed sink
-    /// (see `mpcc-telemetry`'s `KeyedSink`) reading the same cell writes
-    /// a part stream that merges deterministically with the other shards'
-    /// parts. Install before running — events already dispatched are not
-    /// replayed.
-    pub fn install_tracer(&mut self, i: usize, tracer: Tracer, stamp: Arc<DispatchStamp>) {
-        let s = &mut self.shards[i];
-        s.set_trace_stamp(stamp);
-        s.set_tracer(tracer);
     }
 
     /// Flushes every shard's tracer (closing metrics bins and draining
@@ -601,7 +588,9 @@ mod tests {
 
     #[test]
     fn keyed_traces_merge_identically_across_shard_counts() {
+        use mpcc_simcore::DispatchStamp;
         use mpcc_telemetry::{merge_keyed_parts, KeyedSink, LayerMask, Tracer};
+        use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!("mpcc-shard-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -614,7 +603,9 @@ mod tests {
                 let stamp = Arc::new(DispatchStamp::new());
                 let part = dir.join(format!("n{n}.shard{i}.part"));
                 let sink = KeyedSink::create(&part, false, stamp.clone()).unwrap();
-                sim.install_tracer(i, Tracer::new(Arc::new(sink), LayerMask::ALL), stamp);
+                let s = sim.shard_mut(i);
+                s.set_trace_stamp(stamp);
+                s.set_tracer(Tracer::new(Arc::new(sink), LayerMask::ALL));
                 parts.push(part);
             }
             sim.run_until(SimTime::from_secs(2));

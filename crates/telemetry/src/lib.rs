@@ -20,10 +20,10 @@
 //! buffer with observable overflow, used by tests and invariant checks),
 //! [`JsonlSink`] / [`CsvSink`] (streaming exporters used by the
 //! experiments CLI's `--trace` flag), [`TeeSink`] (per-branch-masked
-//! fan-out), [`StatsSink`] (monotonic counters + log₂-bucketed histograms
-//! aggregated per subflow / connection / link), and [`MetricsPipeline`]
-//! (bounded-memory time-binned metrics rows streamed to JSONL/CSV — the
-//! substrate of `--metrics` and `experiments report`).
+//! fan-out), and [`MetricsPipeline`] (bounded-memory time-binned metrics
+//! rows streamed to JSONL/CSV — the substrate of `--metrics` and
+//! `experiments report`). [`Counter`] and [`Histogram`] are the shared
+//! monotonic-counter and log₂-bucketed histogram primitives.
 
 pub mod event;
 pub mod keyed;
@@ -38,4 +38,4 @@ pub use event::{
 pub use keyed::{merge_keyed_parts, KeyedSink};
 pub use pipeline::{MetricsPipeline, PipelineConfig};
 pub use sink::{CsvSink, JsonlSink, NullSink, RingSink, TeeSink, TraceSink, Tracer};
-pub use stats::{Counter, Histogram, StatsReport, StatsSink};
+pub use stats::{Counter, Histogram};

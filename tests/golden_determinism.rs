@@ -2,8 +2,7 @@
 //!
 //! The fault-soak suite proves that re-runs of the *same build* agree with
 //! each other; this test proves that the *current build* agrees with a
-//! snapshot taken before the timer-wheel event queue and the
-//! allocation-free transport structures replaced their naive counterparts.
+//! committed snapshot.
 //! Any change that perturbs event population, ordering, or RNG consumption
 //! — however slightly — shifts the trace digest or a bit-exact counter and
 //! fails here, naming exactly what moved.

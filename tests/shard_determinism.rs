@@ -170,31 +170,33 @@ fn churn_telemetry_bytes_invariant_across_shards_and_backends() {
 }
 
 /// Same invariant for fig19 through the executor path, across shard
-/// counts >= 2 (at reduced scale `--shards 1` takes the legacy
-/// single-instance engine, whose trajectories legitimately differ) and
-/// across the sequential/threaded backends via `MPCC_SHARD_THREADS`.
+/// counts 1, 2 and 4 and across the sequential/threaded backends via
+/// `MPCC_SHARD_THREADS`.
 #[test]
 fn fig19_telemetry_bytes_invariant_across_shards_and_backends() {
     std::env::set_var("MPCC_SHARD_THREADS", "0");
+    let (t1, m1) = fig19_telemetry(1, "fig19-s1");
     let (t2, m2) = fig19_telemetry(2, "fig19-s2");
     let (t4, m4) = fig19_telemetry(4, "fig19-s4");
     std::env::set_var("MPCC_SHARD_THREADS", "1");
     let (t4t, m4t) = fig19_telemetry(4, "fig19-s4t");
     std::env::remove_var("MPCC_SHARD_THREADS");
     assert!(
-        t2.len() > 10_000,
+        t1.len() > 10_000,
         "trace suspiciously small ({} bytes): sinks not attached?",
-        t2.len()
+        t1.len()
     );
     assert!(
-        m2.len() > 500,
+        m1.len() > 500,
         "metrics suspiciously small ({} bytes)",
-        m2.len()
+        m1.len()
     );
-    assert!(t2 == t4, "trace bytes differ between 2 and 4 shards");
-    assert!(m2 == m4, "metrics bytes differ between 2 and 4 shards");
-    assert!(t2 == t4t, "trace bytes differ between backends");
-    assert!(m2 == m4t, "metrics bytes differ between backends");
+    assert!(t1 == t2, "trace bytes differ between 1 and 2 shards");
+    assert!(m1 == m2, "metrics bytes differ between 1 and 2 shards");
+    assert!(t1 == t4, "trace bytes differ between 1 and 4 shards");
+    assert!(m1 == m4, "metrics bytes differ between 1 and 4 shards");
+    assert!(t1 == t4t, "trace bytes differ between backends");
+    assert!(m1 == m4t, "metrics bytes differ between backends");
 }
 
 #[test]
