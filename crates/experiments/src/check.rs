@@ -8,7 +8,8 @@
 //!   measured equilibrium against the exact lexicographic max-min fair
 //!   allocation computed by [`mpcc::theory::lmmf`]. Connection totals are
 //!   always checked; the per-(connection, link) split is checked only for
-//!   topologies where the LMMF split is unique.
+//!   topologies where the LMMF split is unique. Each case runs at five
+//!   seeds and the verdict is on the median.
 //! * **Fluid trajectories** (`--fluid`): runs LIA, OLIA, and Balia on
 //!   identical topologies through both the packet-level simulator and the
 //!   RK4 integrator for Peng et al.'s fluid ODE ([`mpcc::theory::ode`]),
@@ -37,6 +38,12 @@ pub const REL_TOL: f64 = 0.15;
 /// Absolute floor (Mbps) — dominates for near-zero expected rates, where a
 /// subflow still carries its probing floor.
 pub const ABS_TOL: f64 = 10.0;
+/// Independent runs per LMMF case. How fast an MPCC connection vacates a
+/// shared link varies from seed to seed, and within one finite run a
+/// single seed can sit outside tolerance while the paper-scale run of the
+/// same seed converges; so each quantity is judged on its median over
+/// this many seeds (odd, so the median is one run's value).
+const SEEDS_PER_CASE: u64 = 5;
 
 /// One oracle topology: a parallel-link network run with one MPCC-loss
 /// connection per `spec.conns` entry.
@@ -47,8 +54,9 @@ struct OracleCase {
     /// per-subflow rates checkable (totals are always checked).
     check_flows: bool,
     /// Reduced-scale run length, seconds (`--full` always runs the paper's
-    /// 200 s). Symmetric shared-link topologies drain the shared subflow
-    /// slowly and need longer than the 60 s that suffices elsewhere.
+    /// 200 s). Topologies where an MP connection must vacate a shared
+    /// link drain that subflow slowly and need longer than the 60 s that
+    /// suffices elsewhere.
     reduced_secs: u64,
 }
 
@@ -96,12 +104,12 @@ fn cases() -> Vec<OracleCase> {
                 conns: vec![vec![0], vec![0, 1]],
             },
             check_flows: true,
-            reduced_secs: 60,
+            reduced_secs: 140,
         },
     ]
 }
 
-fn scenario_for(case: &OracleCase, cfg: &ExpConfig, idx: u64) -> Scenario {
+fn scenario_for(case: &OracleCase, cfg: &ExpConfig, seed: u64) -> Scenario {
     let links: Vec<LinkParams> = case
         .spec
         .capacities
@@ -118,7 +126,7 @@ fn scenario_for(case: &OracleCase, cfg: &ExpConfig, idx: u64) -> Scenario {
     // behaviour, not the transient.
     let dur_secs = cfg.scale(case.reduced_secs, 200);
     let warm_secs = dur_secs - cfg.scale(35, 140);
-    Scenario::new(cfg.seed.wrapping_add(idx), links, conns).with_duration(
+    Scenario::new(seed, links, conns).with_duration(
         SimDuration::from_secs(dur_secs),
         SimDuration::from_secs(warm_secs),
     )
@@ -128,18 +136,40 @@ fn within(observed: f64, expected: f64) -> bool {
     (observed - expected).abs() <= (REL_TOL * expected).max(ABS_TOL)
 }
 
-/// Runs every oracle case and compares against the LMMF prediction.
+/// Formats one checked quantity: its median over the seeds, then every
+/// seed's value in seed order.
+fn seeds_line(label: String, per_seed: &[f64], expected: f64) -> (String, f64) {
+    let mut sorted = per_seed.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[sorted.len() / 2];
+    let all: Vec<String> = per_seed.iter().map(|v| format!("{v:.2}")).collect();
+    (
+        format!(
+            "{label}: median {median:7.2} Mbps [{}], lmmf {expected:7.2} Mbps",
+            all.join(" ")
+        ),
+        median,
+    )
+}
+
+/// Runs every oracle case at `SEEDS_PER_CASE` seeds and compares the
+/// median of each measured quantity against the LMMF prediction.
 ///
-/// Returns `Ok(report)` when every measurement is within tolerance and
+/// Returns `Ok(report)` when every median is within tolerance and
 /// `Err(report)` otherwise; the report is the human-readable comparison
 /// table either way.
 pub fn run(cfg: &ExpConfig) -> Result<String, String> {
     let cases = cases();
-    let scenarios: Vec<Scenario> = cases
-        .iter()
-        .enumerate()
-        .map(|(i, c)| scenario_for(c, cfg, i as u64))
-        .collect();
+    let n = cases.len() as u64;
+    // Case `i`, seed `r` runs at `seed + i + r·n`: every run has its own
+    // seed, and seed 0 of each case is the seed a single run would use.
+    let mut scenarios = Vec::new();
+    for r in 0..SEEDS_PER_CASE {
+        for (i, c) in cases.iter().enumerate() {
+            let seed = cfg.seed.wrapping_add(i as u64 + r * n);
+            scenarios.push(scenario_for(c, cfg, seed));
+        }
+    }
     let warmups: Vec<_> = scenarios.iter().map(|s| s.warmup).collect();
     let results = cfg.exec.run_batch(scenarios);
 
@@ -154,38 +184,41 @@ pub fn run(cfg: &ExpConfig) -> Result<String, String> {
         out.push_str(if ok { "  ok\n" } else { "  FAIL\n" });
     };
 
-    for (i, (case, result)) in cases.iter().zip(&results).enumerate() {
+    for (i, case) in cases.iter().enumerate() {
         let (totals, flows) = lmmf_with_flows(&case.spec);
-        let warm = mpcc_simcore::SimTime::ZERO + warmups[i];
-        for (c, conn) in result.conns.iter().enumerate() {
+        let runs: Vec<usize> = (0..SEEDS_PER_CASE as usize)
+            .map(|r| i + r * cases.len())
+            .collect();
+        for (c, links) in case.spec.conns.iter().enumerate() {
+            let per_seed: Vec<f64> = runs
+                .iter()
+                .map(|&j| results[j].conns[c].goodput_mbps)
+                .collect();
+            let label = format!("{:<12} conn {c} total", case.name);
+            let (text, median) = seeds_line(label, &per_seed, totals[c]);
             checks += 1;
-            line(
-                format!(
-                    "{:<12} conn {c} total: measured {:7.2} Mbps, lmmf {:7.2} Mbps",
-                    case.name, conn.goodput_mbps, totals[c]
-                ),
-                within(conn.goodput_mbps, totals[c]),
-                &mut failures,
-            );
+            line(text, within(median, totals[c]), &mut failures);
             if !case.check_flows {
                 continue;
             }
-            for (k, &l) in case.spec.conns[c].iter().enumerate() {
-                let measured = conn.subflow_series[k].mean_after(warm);
+            for (k, &l) in links.iter().enumerate() {
+                let per_seed: Vec<f64> = runs
+                    .iter()
+                    .map(|&j| {
+                        let warm = mpcc_simcore::SimTime::ZERO + warmups[j];
+                        results[j].conns[c].subflow_series[k].mean_after(warm)
+                    })
+                    .collect();
+                let label = format!("{:<12} conn {c} link {l}", case.name);
+                let (text, median) = seeds_line(label, &per_seed, flows[c][l]);
                 checks += 1;
-                line(
-                    format!(
-                        "{:<12} conn {c} link {l}: measured {:7.2} Mbps, lmmf {:7.2} Mbps",
-                        case.name, measured, flows[c][l]
-                    ),
-                    within(measured, flows[c][l]),
-                    &mut failures,
-                );
+                line(text, within(median, flows[c][l]), &mut failures);
             }
         }
     }
     let verdict = format!(
-        "theory oracle: {}/{checks} checks within tolerance (rel {REL_TOL}, abs {ABS_TOL} Mbps)",
+        "theory oracle: {}/{checks} medians over {SEEDS_PER_CASE} seeds within tolerance \
+         (rel {REL_TOL}, abs {ABS_TOL} Mbps)",
         checks - failures
     );
     out.push_str(&verdict);

@@ -16,16 +16,41 @@
 //! touching the endpoint. The contract every driver must honour:
 //!
 //! * `now()` is constant for the duration of one endpoint callback;
-//! * timers fire no earlier than their deadline, in deadline order, with
-//!   ties broken by arming order;
+//! * timers fire no earlier than their deadline, in deadline order;
 //! * `rng()` is the endpoint's private stream — no other component draws
 //!   from it — which is what makes controller decisions reproducible when
 //!   the same ACK schedule is replayed under a different driver.
+//!
+//! The deterministic drivers (the simulator and the UDP replay host) also
+//! agree on the order of same-instant events: every event pending for an
+//! instant is dispatched in ascending [`DispatchKey`] order — arrivals
+//! ([`arrival_key`]) before timers ([`timer_key`]) — and an event armed
+//! *for* that instant during the dispatch runs in a later batch. The
+//! socket driver fires same-instant timers in arming order; its
+//! environment is not deterministic anyway.
 
 use crate::wire::{EndpointId, Header, Packet, PathId};
 use mpcc_simcore::{SimDuration, SimRng, SimTime};
 use mpcc_telemetry::Tracer;
 use std::any::Any;
+
+/// Position of an event among the events pending for one instant:
+/// `(class, a, b)`, compared lexicographically. The simulator adds its
+/// link-level classes around the two endpoint-facing ones defined here.
+pub type DispatchKey = (u8, u64, u64);
+
+/// The same-instant dispatch key of a packet arrival: by packet id, then
+/// hop (only duplicate-fault twins share an id, and those are identical).
+#[inline]
+pub fn arrival_key(pkt: &Packet) -> DispatchKey {
+    (1, pkt.id, pkt.hop as u64)
+}
+
+/// The same-instant dispatch key of timer `token` of endpoint `id`.
+#[inline]
+pub fn timer_key(id: EndpointId, token: u64) -> DispatchKey {
+    (2, id.0 as u64, token)
+}
 
 /// The capabilities an endpoint has while handling an event.
 pub trait HostCtx {

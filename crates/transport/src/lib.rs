@@ -36,7 +36,7 @@ pub mod wire;
 pub use arena::{Arena, Handle};
 pub use connection::{ConnSend, Workload};
 pub use controller::{AckInfo, LossInfo, MiReport, MultipathCc};
-pub use io::{Endpoint, HostCtx, PacketTrace, TraceEntry};
+pub use io::{arrival_key, timer_key, DispatchKey, Endpoint, HostCtx, PacketTrace, TraceEntry};
 pub use receiver::{MpReceiver, ReceiverStats};
 pub use sack::{Chunk, Scoreboard};
 pub use scheduler::SchedulerKind;

@@ -11,23 +11,35 @@
 //! function of (a) its packet arrivals with their timestamps, (b) the
 //! order its timers fire relative to those arrivals, and (c) its private
 //! rng stream. The replay host pins all three: arrivals are pre-loaded
-//! into the same `EventQueue` the simulator uses — FIFO within a
-//! timestamp, so a pre-loaded arrival at time `t` dispatches before any
-//! timer armed *during* the run at `t`, exactly as
-//! `mpcc_netsim::Simulation::inject` behaves — and the rng is whatever
-//! the caller seeds (use `mpcc_netsim::endpoint_rng` for parity with a
-//! simulated endpoint). Hence replaying the same trace here and in the
-//! simulator must produce bit-identical controller decisions.
+//! into the same `EventQueue` the simulator uses, and every batch of
+//! events due at one instant is dispatched in the simulator's canonical
+//! order — sorted by the driver seam's [`arrival_key`] / [`timer_key`],
+//! so arrivals (by packet id) precede timers (by token), and a timer
+//! armed *for* that instant during the batch runs in the next batch,
+//! exactly as `mpcc_netsim::Simulation::inject` behaves — and the rng is
+//! whatever the caller seeds (use `mpcc_netsim::endpoint_rng` for parity
+//! with a simulated endpoint). Hence replaying the same trace here and in
+//! the simulator must produce bit-identical controller decisions.
 
 use mpcc_simcore::{Clock, EventQueue, ManualClock, SimDuration, SimRng, SimTime};
 use mpcc_telemetry::Tracer;
 use mpcc_transport::wire::{EndpointId, Header, Packet, PathId};
-use mpcc_transport::{Endpoint, HostCtx, PacketTrace};
+use mpcc_transport::{arrival_key, timer_key, DispatchKey, Endpoint, HostCtx, PacketTrace};
 
 /// A replay event: a recorded arrival or a timer armed during the run.
 enum Ev {
     Arrive(Packet),
     Timer(u64),
+}
+
+impl Ev {
+    /// Same-instant dispatch position, as in the simulator.
+    fn key(&self, me: EndpointId) -> DispatchKey {
+        match self {
+            Ev::Arrive(pkt) => arrival_key(pkt),
+            Ev::Timer(token) => timer_key(me, *token),
+        }
+    }
 }
 
 /// Counters accumulated during a replay; see [`ReplayHost::stats`].
@@ -123,13 +135,18 @@ impl ReplayHost {
     }
 
     /// Pre-loads every recorded arrival. Must be called before [`run`]
-    /// (pre-loading is what guarantees arrivals dispatch ahead of
-    /// same-instant timers armed during the run).
+    /// (pre-loading is what puts an arrival in the same batch as the
+    /// timers already pending for its instant). Each packet is marked
+    /// past its last hop, as `Simulation::inject` marks it.
     ///
     /// [`run`]: ReplayHost::run
     pub fn load(&mut self, trace: &PacketTrace) {
         for e in &trace.entries {
-            self.state.queue.schedule(e.at, Ev::Arrive(e.pkt));
+            let pkt = Packet {
+                hop: usize::MAX,
+                ..e.pkt
+            };
+            self.state.queue.schedule(e.at, Ev::Arrive(pkt));
         }
     }
 
@@ -155,20 +172,29 @@ impl ReplayHost {
     /// a sender re-arms its periodic timers forever).
     pub fn run(&mut self, until: SimTime) {
         self.endpoint.start(&mut self.state);
+        let me = self.state.self_id;
+        let mut batch = Vec::new();
         while let Some(t) = self.state.queue.peek_time() {
             if t > until {
                 break;
             }
-            let (t, ev) = self.state.queue.pop().expect("peeked");
             self.state.clock.advance_to(t);
-            match ev {
-                Ev::Arrive(pkt) => {
-                    self.state.stats.delivered += 1;
-                    self.endpoint.on_packet(pkt, &mut self.state);
-                }
-                Ev::Timer(token) => {
-                    self.state.stats.timers_fired += 1;
-                    self.endpoint.on_timer(token, &mut self.state);
+            // Drain everything pending for `t` and dispatch it in key
+            // order; events armed for `t` meanwhile form the next batch.
+            while self.state.queue.peek_time() == Some(t) {
+                batch.push(self.state.queue.pop().expect("peeked").1);
+            }
+            batch.sort_by_key(|ev: &Ev| ev.key(me));
+            for ev in batch.drain(..) {
+                match ev {
+                    Ev::Arrive(pkt) => {
+                        self.state.stats.delivered += 1;
+                        self.endpoint.on_packet(pkt, &mut self.state);
+                    }
+                    Ev::Timer(token) => {
+                        self.state.stats.timers_fired += 1;
+                        self.endpoint.on_timer(token, &mut self.state);
+                    }
                 }
             }
         }
