@@ -268,10 +268,16 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
             }
         }
         // Churn keeps discovering rare new per-slot timer-wheel occupancy
-        // maxima for the whole run; a generous up-front reservation moves
-        // that capacity ratchet to build time (tests/alloc_free.rs holds
-        // the steady state to zero allocations).
-        clos.sim.reserve_event_capacity(512, 16_384);
+        // maxima and new in-flight packet high-water marks for the whole
+        // run; a generous up-front reservation of the wheel slots and the
+        // packet slab moves that capacity ratchet to build time
+        // (tests/alloc_free.rs holds the steady state to zero
+        // allocations). 2,048 entries per slot is ~80 KB of 40-byte
+        // entries, the same byte budget as the earlier 512 ~190-byte
+        // entries: 512 small entries per slot measured ~7-15 % slower
+        // builds. 4,096 packets is ~18x the full script's peak queue per
+        // shard.
+        clos.sim.reserve_event_capacity(2_048, 16_384, 4_096);
         clos.sim
     });
     for i in 0..k {

@@ -40,13 +40,64 @@ pub struct Path {
 enum Event {
     /// A link finished serializing its head packet.
     TxComplete(LinkId),
-    /// A packet finished propagating toward hop `packet.hop` of its path
-    /// (or toward its destination endpoint if past the last hop).
-    Arrive(Packet),
+    /// The packet parked in `slot` of the packet slab finished propagating
+    /// toward its next hop (or toward its destination endpoint if past the
+    /// last hop). `id` and `hop` are the packet's [`arrival_key`] fields,
+    /// so ordering and hashing never touch the slab.
+    Arrive { slot: u32, id: u64, hop: u64 },
     /// An endpoint timer fired.
     Timer(EndpointId, u64),
-    /// A scheduled link parameter change.
-    LinkChange(LinkId, LinkParams),
+    /// A scheduled link parameter change (boxed: it is rare, and inline it
+    /// would widen every queue entry).
+    LinkChange(LinkId, Box<LinkParams>),
+}
+
+// Every wheel slot, drain buffer and same-time batch is sized in queue
+// entries, so one wide variant would inflate all of them.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+/// In-flight packets, parked here so the event queue carries only their
+/// slot index: a `Vec` of packets plus a free list of vacated slots. Its
+/// capacity only grows toward the in-flight high-water mark, like the
+/// wheel slots' (see [`Simulation::reserve_event_capacity`]).
+#[derive(Default)]
+struct PacketSlab {
+    packets: Vec<Packet>,
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Parks `pkt` and returns the arrival event that will deliver it.
+    fn park(&mut self, pkt: Packet) -> Event {
+        let (_, id, hop) = arrival_key(&pkt);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = pkt;
+                slot
+            }
+            None => {
+                self.packets.push(pkt);
+                (self.packets.len() - 1) as u32
+            }
+        };
+        Event::Arrive { slot, id, hop }
+    }
+
+    /// Takes the packet out of `slot` and frees the slot.
+    fn take(&mut self, slot: u32) -> Packet {
+        self.free.push(slot);
+        self.packets[slot as usize]
+    }
+
+    fn get(&self, slot: u32) -> &Packet {
+        &self.packets[slot as usize]
+    }
+
+    /// Pre-sizes the slab for `n` packets in flight at once.
+    fn reserve(&mut self, n: usize) {
+        self.packets.reserve(n.saturating_sub(self.packets.len()));
+        self.free.reserve(n.saturating_sub(self.free.len()));
+    }
 }
 
 /// The canonical dispatch key of an event: same-time events are
@@ -59,7 +110,8 @@ enum Event {
 fn canon_key(ev: &Event) -> DispatchKey {
     match ev {
         Event::TxComplete(l) => (0, l.0 as u64, 0),
-        Event::Arrive(p) => arrival_key(p),
+        // The class of `arrival_key`, whose other fields `park` stored.
+        Event::Arrive { id, hop, .. } => (1, *id, *hop),
         Event::Timer(e, tok) => timer_key(*e, *tok),
         Event::LinkChange(l, _) => (3, l.0 as u64, 0),
     }
@@ -88,6 +140,10 @@ struct ShardCfg {
     shard_of_link: Vec<u8>,
     /// Owner shard of each endpoint slot, indexed by `EndpointId`.
     shard_of_ep: Vec<u8>,
+    /// The topology's conservative lookahead at configuration
+    /// ([`Simulation::min_lookahead`]); a `LinkChange` must not lower a
+    /// link delay below it.
+    lookahead: SimDuration,
 }
 
 /// The simulator's implementation of the [`HostCtx`] driver seam: the
@@ -96,6 +152,7 @@ pub struct Ctx<'a> {
     now: SimTime,
     self_id: EndpointId,
     events: &'a mut EventQueue<Event>,
+    packets: &'a mut PacketSlab,
     links: &'a mut [Link],
     link_rngs: &'a mut [SimRng],
     paths: &'a [Path],
@@ -191,7 +248,7 @@ impl<'a> Ctx<'a> {
                 return;
             }
         }
-        self.events.schedule(at, Event::Arrive(pkt));
+        self.events.schedule(at, self.packets.park(pkt));
     }
 
     /// The links of `path`, for topology-aware helpers (e.g. base-RTT
@@ -216,7 +273,7 @@ impl<'a> Ctx<'a> {
         if pkt.hop >= path.links.len() {
             // Past the last hop: deliver. Reached only from Arrive dispatch;
             // a fresh send always has at least one link in our topologies.
-            self.events.schedule(self.now, Event::Arrive(pkt));
+            self.events.schedule(self.now, self.packets.park(pkt));
             return;
         }
         let link_id = path.links[pkt.hop];
@@ -336,6 +393,8 @@ pub fn endpoint_rng(seed: u64, id: EndpointId) -> SimRng {
 pub struct Simulation {
     seed: u64,
     events: EventQueue<Event>,
+    /// The packets of every pending `Event::Arrive`.
+    packets: PacketSlab,
     links: Vec<Link>,
     link_rngs: Vec<SimRng>,
     paths: Vec<Path>,
@@ -384,6 +443,7 @@ impl Simulation {
         Simulation {
             seed,
             events: EventQueue::new(),
+            packets: PacketSlab::default(),
             links: Vec::new(),
             link_rngs: Vec::new(),
             paths: Vec::new(),
@@ -456,13 +516,15 @@ impl Simulation {
     }
 
     /// Pre-sizes the event queue's wheel slots and drain buffers (see
-    /// [`EventQueue::reserve_slot_capacity`]). Churning workloads call
-    /// this at build time so per-slot occupancy maxima discovered late in
-    /// a run never allocate.
+    /// [`EventQueue::reserve_slot_capacity`]) and the slab that parks
+    /// packets in flight for `in_flight` packets. Churning workloads call
+    /// this at build time so occupancy maxima discovered late in a run
+    /// never allocate.
     ///
     /// [`EventQueue::reserve_slot_capacity`]: mpcc_simcore::EventQueue::reserve_slot_capacity
-    pub fn reserve_event_capacity(&mut self, per_slot: usize, drain: usize) {
+    pub fn reserve_event_capacity(&mut self, per_slot: usize, drain: usize, in_flight: usize) {
         self.events.reserve_slot_capacity(per_slot, drain);
+        self.packets.reserve(in_flight);
     }
 
     /// Adds a link and returns its handle.
@@ -565,12 +627,13 @@ impl Simulation {
         // Mark the packet past its last hop so arrival delivers it instead
         // of re-offering it to a link of whatever path id it recorded.
         pkt.hop = usize::MAX;
-        self.events.schedule(at, Event::Arrive(pkt));
+        self.events.schedule(at, self.packets.park(pkt));
     }
 
     /// Schedules a link parameter change at absolute time `at`.
     pub fn schedule_link_change(&mut self, at: SimTime, link: LinkId, params: LinkParams) {
-        self.events.schedule(at, Event::LinkChange(link, params));
+        self.events
+            .schedule(at, Event::LinkChange(link, Box::new(params)));
     }
 
     // ------------------------------------------------------------------
@@ -587,6 +650,7 @@ impl Simulation {
             me,
             shard_of_link,
             shard_of_ep,
+            lookahead: self.min_lookahead().unwrap_or(SimDuration::ZERO),
         });
     }
 
@@ -596,7 +660,8 @@ impl Simulation {
     /// because every cross-shard handoff (a link-to-link hop, a final-hop
     /// delivery, or a delay-only reverse path) takes at least this long.
     /// `None` if the topology has no links. Mid-run `LinkChange`s must not
-    /// lower a delay below this value.
+    /// lower a delay below this value; a shard instance records it at
+    /// [`Simulation::configure_shard`] and panics on a change that does.
     pub fn min_lookahead(&self) -> Option<SimDuration> {
         let link_min = self.links.iter().map(|l| l.params().delay).min();
         let rev_min = self.paths.iter().map(|p| p.reverse_delay).min();
@@ -611,7 +676,7 @@ impl Simulation {
     /// packets re-enter at their next link, past-last-hop packets deliver
     /// to their destination endpoint.
     pub fn inject_arrival(&mut self, at: SimTime, pkt: Packet) {
-        self.events.schedule(at, Event::Arrive(pkt));
+        self.events.schedule(at, self.packets.park(pkt));
     }
 
     /// Takes the staged cross-shard packets (cleared on return). The
@@ -859,7 +924,8 @@ impl Simulation {
     fn classify(&self, ev: &Event) -> ProfCat {
         match ev {
             Event::TxComplete(_) => ProfCat::LinkTx,
-            Event::Arrive(pkt) => {
+            Event::Arrive { slot, .. } => {
+                let pkt = self.packets.get(*slot);
                 let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true,
@@ -965,7 +1031,10 @@ impl Simulation {
                 self.events.schedule(done, Event::TxComplete(link_id));
                 break;
             },
-            Event::Arrive(pkt) => {
+            Event::Arrive { slot, .. } => {
+                // Freed before the endpoint lookup, so a stale-endpoint
+                // drop recycles its slot too.
+                let pkt = self.packets.take(slot);
                 let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true, // direct (delay-only) packet
@@ -981,7 +1050,18 @@ impl Simulation {
                 self.with_endpoint(id, |ep, ctx| ep.on_timer(token, ctx));
             }
             Event::LinkChange(id, params) => {
-                self.links[id.0 as usize].set_params(params);
+                if let Some(sc) = &self.shard {
+                    // A shorter delay would let a cross-shard handoff land
+                    // inside an epoch that has already run.
+                    assert!(
+                        params.delay >= sc.lookahead,
+                        "LinkChange on {id:?} lowers its delay to {:?}, below the \
+                         sharded lookahead {:?}",
+                        params.delay,
+                        sc.lookahead
+                    );
+                }
+                self.links[id.0 as usize].set_params(*params);
             }
         }
     }
@@ -1003,7 +1083,7 @@ impl Simulation {
                 return;
             }
         }
-        self.events.schedule(at, Event::Arrive(pkt));
+        self.events.schedule(at, self.packets.park(pkt));
     }
 
     /// Re-offers a mid-path packet to its next link (no endpoint involved).
@@ -1038,6 +1118,7 @@ impl Simulation {
                 now: self.now,
                 self_id: id,
                 events: &mut self.events,
+                packets: &mut self.packets,
                 links: &mut self.links,
                 link_rngs: &mut self.link_rngs,
                 paths: &self.paths,
@@ -1203,6 +1284,97 @@ mod tests {
     }
 
     use mpcc_simcore::Rate;
+
+    /// A sender + receiver over one link; the receiver is endpoint 1.
+    fn one_link_pair(params: LinkParams, count: u64) -> (Simulation, EndpointId, EndpointId) {
+        let mut sim = Simulation::new(5);
+        let link = sim.add_link(params);
+        let path = sim.add_path(vec![link], None);
+        let sender = sim.add_endpoint(Box::new(TestSender {
+            path,
+            peer: EndpointId(1),
+            count,
+            acks: vec![],
+            timer_fired: false,
+        }));
+        let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
+        (sim, sender, receiver)
+    }
+
+    #[test]
+    fn packet_slots_are_reused_after_delivery() {
+        let (mut sim, sender, receiver) = one_link_pair(LinkParams::paper_default(), 3);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 3);
+        assert_eq!(sim.endpoint::<TestSender>(sender).acks.len(), 3);
+        // Six arrivals (3 data, 3 ACKs) through three slots: each ACK is
+        // parked in the slot its data packet vacated.
+        assert_eq!(sim.packets.packets.len(), 3);
+        assert_eq!(sim.packets.free.len(), 3);
+    }
+
+    #[test]
+    fn arrival_at_empty_endpoint_slot_frees_its_packet_slot() {
+        let mut sim = Simulation::new(6);
+        let ghost = sim.reserve_endpoint();
+        let pkt = |id| Packet {
+            id,
+            src: ghost,
+            dst: ghost,
+            path: PathId(u32::MAX),
+            hop: 0,
+            size: crate::packet::ACK_SIZE,
+            header: Header::Ack(AckHeader {
+                subflow: 0,
+                cum_ack: 0,
+                sack: SackBlocks::EMPTY,
+                ack_seq: 0,
+                echo_sent_at: SimTime::ZERO,
+                data_acked: 0,
+                rcv_window: u64::MAX,
+            }),
+        };
+        sim.inject(SimTime::from_millis(1), pkt(1));
+        sim.run_until(SimTime::from_millis(2));
+        assert_eq!(sim.stale_events(), 1);
+        assert_eq!(sim.packets.free, vec![0]);
+        sim.inject(SimTime::from_millis(3), pkt(2));
+        sim.run_until(SimTime::from_millis(4));
+        assert_eq!(sim.stale_events(), 2);
+        assert_eq!(
+            sim.packets.packets.len(),
+            1,
+            "the stale drop's slot is reused"
+        );
+    }
+
+    #[test]
+    fn duplicate_fault_twins_take_two_slots_and_both_deliver() {
+        let dup = crate::fault::FaultPlan::NONE.with_duplicate(1.0, SimDuration::ZERO);
+        let params = LinkParams::paper_default().with_faults(dup);
+        let (mut sim, sender, receiver) = one_link_pair(params, 1);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 2);
+        assert_eq!(sim.endpoint::<TestSender>(sender).acks.len(), 2);
+        // The twins arrive at the same instant, so both are parked at once.
+        assert_eq!(sim.packets.packets.len(), 2);
+        assert_eq!(sim.packets.free.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the sharded lookahead")]
+    fn sharded_link_change_below_lookahead_panics() {
+        let mut sim = Simulation::new(7);
+        let link = sim.add_link(LinkParams::paper_default());
+        sim.add_path(vec![link], None);
+        sim.configure_shard(0, vec![0], vec![]);
+        sim.schedule_link_change(
+            SimTime::from_millis(10),
+            link,
+            LinkParams::paper_default().with_delay(SimDuration::from_millis(1)),
+        );
+        sim.run_until(SimTime::from_millis(20));
+    }
 
     #[test]
     fn clock_reaches_run_until_target_even_when_idle() {

@@ -42,6 +42,12 @@
 //! recycled through a scratch buffer during cascades), and
 //! `sort_unstable` does not allocate. Only growth beyond a previous
 //! high-water mark allocates.
+//!
+//! Every one of those buffers retains capacity counted in entries, and an
+//! entry is the event plus 16 bytes of `(at, seq)`, so resident bytes
+//! scale with `size_of::<E>()`. Keep `E` small and park bulky payloads out
+//! of line: `mpcc_netsim` queues a 24-byte event (40-byte entry) and keeps
+//! each in-flight packet in a slab.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

@@ -1,7 +1,8 @@
 //! Proves the simulator's steady-state per-packet path is allocation-free.
 //!
 //! A counting wrapper around the system allocator tallies every
-//! `alloc`/`realloc` call. After a warm-up phase (connection establishment,
+//! `alloc`/`realloc` call and tracks live heap bytes with their high-water
+//! mark. After a warm-up phase (connection establishment,
 //! container growth to the flow's high-water marks), hundreds of thousands
 //! of data-packet round trips — send, link queueing, delivery, ACK
 //! generation, SACK/scoreboard processing, loss detection,
@@ -29,30 +30,58 @@ static MEASUREMENT: Mutex<()> = Mutex::new(());
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Live heap bytes (requested sizes, not allocator overhead).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE_BYTES` since the last [`reset_peak_bytes`].
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Adds `delta` (two's complement, so a shrink wraps) to the live bytes.
+fn track_bytes(delta: u64) {
+    let live = LIVE_BYTES
+        .fetch_add(delta, Ordering::Relaxed)
+        .wrapping_add(delta);
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Restarts the high-water mark from the current live bytes.
+fn reset_peak_bytes() {
+    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::SeqCst), Ordering::SeqCst);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        track_bytes(layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_bytes((layout.size() as u64).wrapping_neg());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        track_bytes(layout.size() as u64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        track_bytes((new_size as u64).wrapping_sub(layout.size() as u64));
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Ceiling on the bulk workload's heap high-water mark after warm-up
+/// (ROADMAP: long runs bounded in resident bytes, not only in allocation
+/// calls). The run holds ~5.9 MB; with each 168-byte packet riding inside
+/// its ~190-byte event-queue entry instead of in the packet slab it held
+/// ~24.8 MB, because every wheel slot keeps capacity sized in entries.
+const STEADY_STATE_PEAK_BYTES: u64 = 8_000_000;
 
 #[test]
 fn steady_state_round_trips_do_not_allocate() {
@@ -89,10 +118,13 @@ fn steady_state_round_trips_do_not_allocate() {
         "warm-up must reach steady state (delivered {delivered_warm} bytes)"
     );
 
-    // Measurement window: every allocation in here is a hot-path leak.
+    // Measurement window: every allocation in here is a hot-path leak,
+    // and the heap high-water mark restarts at the bytes warm-up left.
+    reset_peak_bytes();
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(65));
     let delta = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let peak_bytes = PEAK_BYTES.load(Ordering::SeqCst);
 
     let delivered = sim.endpoint::<MpSender>(sender).data_acked() - delivered_warm;
     let events = sim.events_processed() - events_warm;
@@ -103,6 +135,10 @@ fn steady_state_round_trips_do_not_allocate() {
     assert_eq!(
         delta, 0,
         "steady-state round trips allocated {delta} times over {events} events"
+    );
+    assert!(
+        peak_bytes <= STEADY_STATE_PEAK_BYTES,
+        "steady-state heap high-water {peak_bytes} bytes exceeds {STEADY_STATE_PEAK_BYTES}"
     );
 }
 
