@@ -5,10 +5,8 @@
 //! `experiments report FILE` (flight-recorder Markdown from a metrics
 //! stream), or `experiments udp [--udp-bytes N]` (real-socket loopback
 //! demo), or `experiments check [--fluid] [--sweep] [--sweep-cases N]`
-//! (theory oracles), or `experiments --bench [--bench-secs N]
-//! [--bench-reps N] [--bench-check FILE] [--bench-baseline NAME:EPS]`.
+//! (theory oracles).
 
-use mpcc_experiments::bench::{self, BenchConfig};
 use mpcc_experiments::check;
 use mpcc_experiments::report;
 use mpcc_experiments::runner::{Executor, MetricsConfig, TraceConfig};
@@ -29,7 +27,6 @@ fn main() {
     let mut metrics_bin: Option<mpcc_simcore::SimDuration> = None;
     let mut report_mode = false;
     let mut faults = FaultPlan::NONE;
-    let mut bench_mode = false;
     let mut check_mode = false;
     let mut check_fluid = false;
     let mut check_sweep = false;
@@ -37,9 +34,6 @@ fn main() {
     let mut udp_mode = false;
     let mut udp_receiver = false;
     let mut udp_bytes = udp_demo::DEFAULT_BYTES;
-    let mut bench_cfg = BenchConfig::default();
-    let mut bench_check: Option<String> = None;
-    let mut bench_baseline: Option<(String, f64)> = None;
     let mut jobs: usize = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -47,34 +41,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--full" => cfg.full = true,
-            "--bench" => bench_mode = true,
-            "--bench-secs" => {
-                bench_cfg.sim_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--bench-secs needs an integer >= 1");
-            }
-            "--bench-reps" => {
-                bench_cfg.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--bench-reps needs an integer >= 1");
-            }
-            "--bench-check" => {
-                bench_check = Some(it.next().expect("--bench-check needs a baseline file"));
-            }
-            "--bench-baseline" => {
-                let spec = it
-                    .next()
-                    .expect("--bench-baseline needs NAME:EVENTS_PER_SEC");
-                let (name, eps) = spec
-                    .split_once(':')
-                    .and_then(|(n, e)| e.parse::<f64>().ok().map(|e| (n.to_string(), e)))
-                    .expect("--bench-baseline needs NAME:EVENTS_PER_SEC");
-                bench_baseline = Some((name, eps));
-            }
             "--seed" => {
                 cfg.seed = it
                     .next()
@@ -200,10 +166,6 @@ fn main() {
         }
         return;
     }
-    if bench_mode {
-        run_bench_mode(&cfg, bench_cfg, bench_check, bench_baseline);
-        return;
-    }
     if check_mode {
         let trace = trace_path.map(|p| TraceConfig {
             path: p.into(),
@@ -263,9 +225,7 @@ fn main() {
              [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
              or:    experiments check [--fluid] [--sweep] [--sweep-cases N] [--full] [--jobs N]\n\
              or:    experiments report METRICS_FILE...\n\
-             or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]\n\
-             or:    experiments --bench [--bench-secs N] [--bench-reps N] \
-             [--bench-check FILE] [--bench-baseline NAME:EPS] [--out DIR]"
+             or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]"
         );
         eprintln!("ids: {}", ALL.join(" "));
         std::process::exit(2);
@@ -281,7 +241,7 @@ fn main() {
     }
     // Wall-clock timing goes through the Clock seam like every other
     // time source in the tree (the lint test in tests/wallclock_lint.rs
-    // keeps raw `Instant::now()` out of non-bench code).
+    // keeps raw `Instant::now()` out of everything but the clock owners).
     let mut wall = MonotonicClock::new();
     for id in ids {
         let start = wall.now();
@@ -341,96 +301,4 @@ fn main() {
         eprintln!("{violations} runtime invariant violations");
         std::process::exit(1);
     }
-}
-
-/// `--bench`: measure the canonical bulk workload. With `--bench-check`,
-/// compare against the committed baseline and exit nonzero on regression;
-/// otherwise write `BENCH_simulator.json` into the output directory.
-fn run_bench_mode(
-    cfg: &ExpConfig,
-    bench_cfg: BenchConfig,
-    check: Option<String>,
-    baseline: Option<(String, f64)>,
-) {
-    eprintln!(
-        ">>> bench: {} x{} sim-secs, {} reps (queue: {})",
-        bench::WORKLOAD,
-        bench_cfg.sim_secs,
-        bench_cfg.reps,
-        mpcc_simcore::queue::QUEUE_IMPL,
-    );
-    let report = bench::measure(bench_cfg);
-    eprintln!(
-        "<<< bench: {:.1} sim-secs/wall-sec, {:.0} events/sec, {} events, peak queue {}",
-        report.sim_secs_per_wall_sec(),
-        report.events_per_sec(),
-        report.run.events,
-        report.run.peak_queue_len,
-    );
-    let prof = &report.run.profile;
-    eprintln!(
-        "    wheel: {} cascades, {} overflow promotions",
-        prof.cascades, prof.overflow_promotions
-    );
-    if prof.enabled {
-        // Per-category wall-clock attribution (profiler builds only).
-        let total_ns = prof.total_nanos().max(1);
-        eprintln!("    profile (first rep):");
-        for cat in mpcc_simcore::ProfCat::all() {
-            let (n, ns) = (prof.counts[cat as usize], prof.nanos[cat as usize]);
-            if n == 0 {
-                continue;
-            }
-            eprintln!(
-                "      {:<12} {:>10} events  {:>12} ns  ({:>4.1}%  {:>5.0} ns/event)",
-                cat.name(),
-                n,
-                ns,
-                ns as f64 * 100.0 / total_ns as f64,
-                ns as f64 / n as f64,
-            );
-        }
-    }
-    if let Some(path) = check {
-        match bench::check(&report, std::path::Path::new(&path)) {
-            Ok(line) => println!("{line}"),
-            Err(line) => {
-                eprintln!("{line}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    // The sharded-engine sweep (churn workload at 1/2/4 shards). On this
-    // gate only the single-instance number above is compared; the sweep
-    // is recorded with its core count so speedups are interpretable.
-    let sharded = bench::measure_sharded(bench_cfg.reps.min(3));
-    for s in &sharded {
-        eprintln!(
-            "    shards={} ({} cores, {}): {:.0} events/sec aggregate, \
-             {} handoffs, {} epochs, peak queue/shard {}",
-            s.shards,
-            s.cores,
-            if s.threaded { "threaded" } else { "sequential" },
-            s.events_per_sec(),
-            s.handoffs,
-            s.epochs,
-            s.peak_queue_per_shard,
-        );
-        if s.shard_sync_events > 0 {
-            eprintln!(
-                "      shard_sync: {} events, {} ns",
-                s.shard_sync_events, s.shard_sync_ns
-            );
-        }
-    }
-    let json = report.to_json(
-        mpcc_simcore::queue::QUEUE_IMPL,
-        baseline.as_ref().map(|(n, e)| (n.as_str(), *e)),
-        &sharded,
-    );
-    std::fs::create_dir_all(&cfg.out_dir).expect("create output dir");
-    let path = cfg.out_dir.join("BENCH_simulator.json");
-    std::fs::write(&path, json).expect("write BENCH_simulator.json");
-    println!("wrote {}", path.display());
 }

@@ -14,8 +14,7 @@ use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::{Admission, DropKind, Link, LinkParams, LinkStats, TxOutcome};
 use crate::packet::{Header, Packet};
 use mpcc_simcore::{
-    rng::splitmix64, DispatchStamp, EventQueue, ProfCat, ProfileReport, Profiler, SimDuration,
-    SimRng, SimTime,
+    rng::splitmix64, DispatchStamp, EventQueue, SimDuration, SimRng, SimTime, WheelStats,
 };
 use mpcc_telemetry::{Layer, LinkEvent, Tracer};
 use mpcc_transport::{arrival_key, timer_key, DispatchKey};
@@ -87,10 +86,6 @@ impl PacketSlab {
     fn take(&mut self, slot: u32) -> Packet {
         self.free.push(slot);
         self.packets[slot as usize]
-    }
-
-    fn get(&self, slot: u32) -> &Packet {
-        &self.packets[slot as usize]
     }
 
     /// Pre-sizes the slab for `n` packets in flight at once.
@@ -405,9 +400,6 @@ pub struct Simulation {
     tracer: Tracer,
     /// Clamped-schedule count already reported through the tracer.
     warned_clamps: u64,
-    /// Self-profiler; zero-sized and inert unless the `profiler` feature
-    /// is enabled.
-    profiler: Profiler,
     /// Per-endpoint next packet id: the endpoint id in the high 32 bits,
     /// a send counter in the low bits, so ids never depend on the global
     /// interleaving of sends (which differs across shard counts).
@@ -453,7 +445,6 @@ impl Simulation {
             started: Vec::new(),
             tracer: Tracer::off(),
             warned_clamps: 0,
-            profiler: Profiler::new(),
             next_packet_ids: Vec::new(),
             shard: None,
             outbox: Vec::new(),
@@ -496,12 +487,6 @@ impl Simulation {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Events popped off the event queue. Excludes inline link
-    /// completions; [`Simulation::total_events`] is the unit of work.
-    pub fn events_processed(&self) -> u64 {
-        self.events.events_popped()
     }
 
     /// High-water mark of the future-event list.
@@ -729,12 +714,6 @@ impl Simulation {
         self.start_pending();
     }
 
-    /// Attributes a span to this shard's profiler (the sharded engine uses
-    /// it for cross-shard handoff and barrier-wait time).
-    pub fn profiler_record(&mut self, cat: ProfCat, stamp: mpcc_simcore::Stamp) {
-        self.profiler.record(cat, stamp);
-    }
-
     /// Read access to a link (statistics, current parameters).
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0 as usize]
@@ -853,27 +832,14 @@ impl Simulation {
     }
 
     /// Dispatches one event of the round-`round` batch at `t`: publishes
-    /// its telemetry stamp, folds it into the digest, and attributes it
-    /// to the self-profiler.
+    /// its telemetry stamp and folds it into the digest.
     fn dispatch_stamped(&mut self, t: SimTime, round: u64, ev: Event, may_inline: bool) {
         if let Some(stamp) = &self.trace_stamp {
             let (class, a, b) = canon_key(&ev);
             stamp.set(t.as_nanos(), round, (class as u64, a, b));
         }
-        // With the feature off, `ENABLED` is a false constant: the
-        // classification, the stamp, and the record all fold away.
-        let cat = if Profiler::ENABLED {
-            Some(self.classify(&ev))
-        } else {
-            None
-        };
-        #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
-        let stamp = Profiler::start();
         self.digest = self.digest.wrapping_add(event_digest(t, &ev));
         self.dispatch(ev, may_inline);
-        if let Some(cat) = cat {
-            self.profiler.record(cat, stamp);
-        }
         // Surface release-mode past-schedule clamps (debug builds panic
         // instead). A single u64 compare in the common (zero-clamp) case.
         let clamped = self.events.clamped_schedules();
@@ -918,39 +884,9 @@ impl Simulation {
         self.started = started;
     }
 
-    /// The profiling category an event will dispatch into. Pure
-    /// observation (mirrors `dispatch`'s branch structure); only called
-    /// when the `profiler` feature is on.
-    fn classify(&self, ev: &Event) -> ProfCat {
-        match ev {
-            Event::TxComplete(_) => ProfCat::LinkTx,
-            Event::Arrive { slot, .. } => {
-                let pkt = self.packets.get(*slot);
-                let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
-                    Some(path) => pkt.hop >= path.links.len(),
-                    None => true,
-                };
-                if !past_last_hop {
-                    ProfCat::Forward
-                } else if pkt.ack().is_some() {
-                    ProfCat::ArriveAck
-                } else {
-                    ProfCat::ArriveData
-                }
-            }
-            Event::Timer(..) => ProfCat::Timer,
-            Event::LinkChange(..) => ProfCat::LinkChange,
-        }
-    }
-
-    /// Snapshot of the self-profiler plus the timer wheel's always-on
-    /// introspection counters.
-    pub fn profile(&self) -> ProfileReport {
-        self.profiler.report(
-            self.events.cascades(),
-            self.events.overflow_promotions(),
-            self.events.occupied_slots(),
-        )
+    /// The timer wheel's cascade and overflow-promotion counters.
+    pub fn profile(&self) -> WheelStats {
+        self.events.wheel_stats()
     }
 
     fn dispatch(&mut self, ev: Event, may_inline: bool) {

@@ -22,7 +22,7 @@
 
 use crate::network::Simulation;
 use crate::packet::Packet;
-use mpcc_simcore::{ProfCat, Profiler, SimDuration, SimTime, SpinBarrier};
+use mpcc_simcore::{SimDuration, SimTime, SpinBarrier};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -295,8 +295,6 @@ impl ShardedSimulation {
     /// shards' wheels, in fixed (source shard, staging) order.
     fn route_outboxes(&mut self) {
         for src in 0..self.shards.len() {
-            #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
-            let stamp = Profiler::start();
             let out = self.shards[src].take_outbox();
             self.handoffs += out.len() as u64;
             for &(owner, at, pkt) in &out {
@@ -304,7 +302,6 @@ impl ShardedSimulation {
                 self.shards[owner as usize].inject_arrival(at, pkt);
             }
             self.shards[src].give_outbox(out);
-            self.shards[src].profiler_record(ProfCat::ShardSync, stamp);
         }
     }
 
@@ -345,10 +342,7 @@ impl ShardedSimulation {
                             .unwrap_or(SimTime::MAX)
                             .min(hook.next_wake());
                         next_times[i].store(mine.as_nanos(), Ordering::Release);
-                        #[allow(clippy::let_unit_value)]
-                        let wait = Profiler::start();
                         barrier.wait();
-                        sim.profiler_record(ProfCat::ShardSync, wait);
                         let next = SimTime::from_nanos(
                             next_times
                                 .iter()
@@ -362,8 +356,6 @@ impl ShardedSimulation {
                         };
                         hook.at_boundary(sim, now, bound);
                         sim.run_epoch(bound, last);
-                        #[allow(clippy::let_unit_value)]
-                        let sync = Profiler::start();
                         let out = sim.take_outbox();
                         if !out.is_empty() {
                             handoffs.fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -383,7 +375,6 @@ impl ShardedSimulation {
                                 sim.inject_arrival(at, pkt);
                             }
                         }
-                        sim.profiler_record(ProfCat::ShardSync, sync);
                         if i == 0 {
                             epochs.fetch_add(1, Ordering::Relaxed);
                         }

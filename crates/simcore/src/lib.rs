@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod profiler;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -20,8 +19,7 @@ pub mod time;
 pub mod units;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use profiler::{ProfCat, ProfileReport, Profiler, Stamp};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, WheelStats};
 pub use rng::SimRng;
 pub use shard::{DispatchStamp, SpinBarrier};
 pub use time::{SimDuration, SimTime};

@@ -53,9 +53,6 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Name of the active queue implementation, stamped into benchmark output.
-pub const QUEUE_IMPL: &str = "timer-wheel";
-
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level.
@@ -137,11 +134,19 @@ pub struct EventQueue<E> {
     popped: u64,
     peak_len: usize,
     clamped: u64,
-    /// Coarse-slot cascades performed by `refill` (one u64 increment per
-    /// cascade — cheap enough to keep always-on for the self-profiler).
-    cascades: u64,
+    /// Wheel introspection counters (one u64 increment per cascade or
+    /// promotion, so they stay always-on).
+    stats: WheelStats,
+}
+
+/// The timer wheel's introspection counters. Deterministic: they depend
+/// only on the schedule, never on wall time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WheelStats {
+    /// Coarse-slot cascades performed by `refill`.
+    pub cascades: u64,
     /// Entries promoted out of the overflow heap into the wheel.
-    overflow_promoted: u64,
+    pub overflow_promotions: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -166,8 +171,7 @@ impl<E> EventQueue<E> {
             popped: 0,
             peak_len: 0,
             clamped: 0,
-            cascades: 0,
-            overflow_promoted: 0,
+            stats: WheelStats::default(),
         }
     }
 
@@ -245,20 +249,9 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
-    /// Coarse-slot cascades performed over the queue's lifetime.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
-    }
-
-    /// Entries promoted from the overflow heap into the wheel.
-    pub fn overflow_promotions(&self) -> u64 {
-        self.overflow_promoted
-    }
-
-    /// Currently occupied wheel slots across all levels (a popcount over
-    /// the occupancy bitmasks — an instantaneous density snapshot).
-    pub fn occupied_slots(&self) -> u32 {
-        self.occupied.iter().map(|m| m.count_ones()).sum()
+    /// Cascade and overflow-promotion counts over the queue's lifetime.
+    pub fn wheel_stats(&self) -> WheelStats {
+        self.stats
     }
 
     /// Pre-sizes every wheel slot to hold `per_slot` entries and the
@@ -317,7 +310,7 @@ impl<E> EventQueue<E> {
             while let Some(top) = self.overflow.peek() {
                 if top.at ^ self.wheel_now < span(LEVELS - 1) {
                     let e = self.overflow.pop().expect("peeked");
-                    self.overflow_promoted += 1;
+                    self.stats.overflow_promotions += 1;
                     let level = level_for(e.at ^ self.wheel_now);
                     let slot = ((e.at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
                     self.occupied[level] |= 1 << slot;
@@ -377,7 +370,7 @@ impl<E> EventQueue<E> {
                     // levels. `start` is aligned to the full span of
                     // `level - 1`, so every entry re-inserts strictly
                     // below `level`.
-                    self.cascades += 1;
+                    self.stats.cascades += 1;
                     self.occupied[level] &= !(1 << b);
                     self.wheel_now = self.wheel_now.max(start);
                     std::mem::swap(&mut self.scratch, &mut self.slots[level * SLOTS + b]);
@@ -597,17 +590,20 @@ mod tests {
         // out) parks in a coarse wheel slot and must cascade to pop.
         q.schedule(SimTime::from_millis(1), "near");
         q.schedule(SimTime::from_secs(1), "coarse");
-        assert!(q.occupied_slots() >= 1);
+        assert!(q.occupied.iter().any(|&m| m != 0));
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.pop().unwrap().1, "coarse");
-        assert!(q.cascades() > 0, "coarse slot must cascade before popping");
+        assert!(
+            q.wheel_stats().cascades > 0,
+            "coarse slot must cascade before popping"
+        );
 
         // Beyond the wheel horizon: parks in overflow, promoted on demand.
-        assert_eq!(q.overflow_promotions(), 0);
+        assert_eq!(q.wheel_stats().overflow_promotions, 0);
         q.schedule(SimTime::from_secs(1_000_000), "overflow");
         assert_eq!(q.pop().unwrap().1, "overflow");
-        assert_eq!(q.overflow_promotions(), 1);
-        assert_eq!(q.occupied_slots(), 0);
+        assert_eq!(q.wheel_stats().overflow_promotions, 1);
+        assert_eq!(q.occupied, [0; LEVELS]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ type Key = [u64; 6];
 
 struct KeyedInner {
     w: Box<dyn Write + Send>,
-    /// Stamp value of the most recent record, for `seq` assignment.
+    /// `DispatchStamp` value of the most recent record, for `seq` assignment.
     last: (u64, u64, u64, u64, u64),
     seq: u64,
     any: bool,

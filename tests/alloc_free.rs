@@ -86,8 +86,8 @@ const STEADY_STATE_PEAK_BYTES: u64 = 8_000_000;
 #[test]
 fn steady_state_round_trips_do_not_allocate() {
     let _serial = MEASUREMENT.lock().unwrap_or_else(|e| e.into_inner());
-    // Two paper-default links, a bulk Reno flow — the same shape as the
-    // committed benchmark workload.
+    // Two paper-default links, a bulk Reno flow — the shape of the bulk
+    // workload whose exact counts `tests/golden_determinism.rs` pins.
     let n_links = 2;
     let mut net = uniform_parallel_links(11, n_links, LinkParams::paper_default());
     let paths: Vec<_> = (0..n_links).map(|i| net.path(i)).collect();
@@ -112,7 +112,7 @@ fn steady_state_round_trips_do_not_allocate() {
     // complete; excluding them is what "steady state" means here).
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
     let delivered_warm = sim.endpoint::<MpSender>(sender).data_acked();
-    let events_warm = sim.events_processed();
+    let events_warm = sim.total_events();
     assert!(
         delivered_warm > 1_000_000,
         "warm-up must reach steady state (delivered {delivered_warm} bytes)"
@@ -127,7 +127,7 @@ fn steady_state_round_trips_do_not_allocate() {
     let peak_bytes = PEAK_BYTES.load(Ordering::SeqCst);
 
     let delivered = sim.endpoint::<MpSender>(sender).data_acked() - delivered_warm;
-    let events = sim.events_processed() - events_warm;
+    let events = sim.total_events() - events_warm;
     assert!(
         delivered > 10_000_000 && events > 100_000,
         "window must exercise the data path (delivered {delivered} bytes, {events} events)"
@@ -237,7 +237,7 @@ fn metrics_pipeline_at_default_cadence_allocates_boundedly() {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(65));
     let delta = ALLOC_CALLS.load(Ordering::SeqCst) - before;
 
-    let events = sim.events_processed();
+    let events = sim.total_events();
     let lines = pipe.lines_written() - lines_warm;
     assert!(
         sim.endpoint::<MpSender>(sender).data_acked() > 10_000_000 && lines >= 25,

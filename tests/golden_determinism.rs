@@ -20,7 +20,12 @@
 //!
 //! and commit the rewritten `tests/golden/faulted_trace.txt` alongside the
 //! change that justified it.
+//!
+//! A second test pins the exact counts of the criterion suites' bulk
+//! workload (one `mpcc-loss` connection over two paper-default links).
 
+use mpcc_bench::run_bulk_sim;
+use mpcc_experiments::protocols;
 use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
@@ -154,5 +159,31 @@ fn faulted_run_matches_committed_golden() {
         "simulator output diverged from the committed golden; if the \
          change is intentional, regenerate with MPCC_UPDATE_GOLDEN=1 and \
          commit the new golden"
+    );
+}
+
+/// The bulk workload's work, delivery and queue shape are exact, so any
+/// change to event population, ordering or the timer wheel shows up here
+/// on every machine (wall-clock speed is the benchmark's business).
+#[test]
+fn bulk_workload_counts_are_pinned() {
+    let proto = "mpcc-loss";
+    let seed = 7;
+    let run = run_bulk_sim(
+        protocols::make(proto, seed),
+        protocols::scheduler_for(proto),
+        2,
+        10,
+        seed,
+    );
+    assert_eq!(
+        (
+            run.events,
+            run.delivered_bytes,
+            run.peak_queue_len,
+            run.cascades
+        ),
+        (630_255, 218_747_912, 1_008, 72_524),
+        "(events, delivered bytes, peak queue, wheel cascades) moved"
     );
 }
