@@ -59,6 +59,11 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
+    /// The instant `d` before this one, saturating at time zero.
+    pub fn saturating_sub(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_sub(d.0))
+    }
+
     /// Checked addition of a duration; `None` on overflow.
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)

@@ -32,6 +32,13 @@ const HEADER_OVERHEAD: u64 = MSS_WIRE - MSS_PAYLOAD;
 /// during a genuine feedback blackout.
 const MAX_MI_BACKLOG: usize = 64;
 
+/// How far behind the current instant the pacer may schedule its next
+/// slot. A driver that wakes late (a socket loop's sleep overshoots) has
+/// its lateness credited back, up to this much, so the send rate holds at
+/// the commanded rate; a longer stall is forgiven rather than made up in
+/// a burst. Drivers that fire timers on their deadline never lag.
+const MAX_PACER_LAG: SimDuration = SimDuration::from_micros(500);
+
 /// Timer token kinds (packed into the high bits of the token).
 const K_PACE: u64 = 1;
 const K_MI: u64 = 2;
@@ -322,6 +329,9 @@ impl MpSender {
         let next_seq = subflow.scoreboard.next_seq();
         let id = subflow.mi.begin(rate, now, next_seq);
         subflow.pacing_rate = rate;
+        // Pacing credit never reaches back before the interval starts, so
+        // no interval sends more than its own rate allows.
+        subflow.next_send_at = subflow.next_send_at.max(now);
         let srtt = subflow.srtt();
         let dur = self.cc.mi_duration(sf, srtt, ctx.rng());
         ctx.set_timer(now + dur, token(K_MI, sf, id));
@@ -571,6 +581,7 @@ impl MpSender {
             _ => return,
         }
         let at = subflow.next_send_at.max(ctx.now());
+        subflow.next_send_at = at;
         subflow.pacer_epoch += 1;
         subflow.pacer_armed = true;
         ctx.set_timer(at, token(K_PACE, sf, subflow.pacer_epoch));
@@ -587,7 +598,8 @@ impl MpSender {
         if self.done {
             return;
         }
-        if self.send_one(sf, ctx) {
+        let sent = self.send_one(sf, ctx);
+        if sent {
             let now = ctx.now();
             let subflow = &mut self.subflows[sf];
             let rate = if subflow.pacing_rate.is_zero() {
@@ -595,11 +607,23 @@ impl MpSender {
             } else {
                 subflow.pacing_rate
             };
-            subflow.next_send_at = now + rate.serialize_time(MSS_WIRE);
+            // Anchor to the slot this timer stood for, not to the wake
+            // time, so a late wake does not stretch every interval.
+            let anchor = subflow.next_send_at.max(now.saturating_sub(MAX_PACER_LAG));
+            subflow.next_send_at = anchor + rate.serialize_time(MSS_WIRE);
         }
+        let owed = self.subflows[sf].next_send_at;
         // Refill staging and re-arm (send_one may have been window-blocked,
         // in which case the ACK path re-arms us instead).
         self.pump(ctx);
+        let subflow = &mut self.subflows[sf];
+        if sent && subflow.pacer_armed {
+            // Re-arming clamped the slot to now. A slot already past is
+            // still owed: the timer is due at once, and the catch-up send
+            // schedules from the owed slot. An idle pacer re-armed later
+            // starts from its own instant instead.
+            subflow.next_send_at = owed;
+        }
     }
 
     fn arm_rto(&mut self, sf: usize, ctx: &mut dyn HostCtx) {

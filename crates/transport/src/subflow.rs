@@ -33,7 +33,10 @@ pub struct Subflow {
     pub pacer_epoch: u64,
     /// `true` while a pacer timer event is outstanding.
     pub pacer_armed: bool,
-    /// Earliest time the pacer may transmit the next packet.
+    /// The slot of the next paced send: the earliest time it may leave,
+    /// and, while a pacer timer is outstanding, the slot that timer stands
+    /// for. Behind the current instant only while the pacer catches up on
+    /// a late wake.
     pub next_send_at: SimTime,
     /// RTO bookkeeping: `true` while an RTO timer event is outstanding.
     pub rto_armed: bool,

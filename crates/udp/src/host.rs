@@ -10,10 +10,12 @@
 //! due timer, then drains every socket until it would block; it only
 //! sleeps when a full turn found nothing to do, and never longer than the
 //! next timer deadline (capped at 500 µs so a newly arrived datagram is
-//! picked up promptly). Send-side `WouldBlock` and malformed inbound
-//! datagrams are counted and dropped — to the transport they are
-//! indistinguishable from network loss, which is exactly what a real
-//! network would do.
+//! picked up promptly). The sleep overshoots, so timers fire late; the
+//! loop leaves that alone, and the transport's pacer absorbs it by
+//! scheduling each send from the deadline it armed, not from the wake
+//! time. Send-side `WouldBlock` and malformed inbound datagrams are
+//! counted and dropped — to the transport they are indistinguishable from
+//! network loss, which is exactly what a real network would do.
 
 use crate::codec::{self, DecodeError};
 use mpcc_simcore::{Clock, EventQueue, MonotonicClock, SimDuration, SimRng, SimTime};
